@@ -118,10 +118,10 @@ func graphs(tb testing.TB) *struct {
 		must(sem.WriteCSR(&buf, benchGraphs.weightedUW))
 		benchGraphs.semFileW = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSRCompressed(&buf, benchGraphs.directed))
+		must(sem.Write(&buf, benchGraphs.directed, sem.WriteConfig{Compress: true}))
 		benchGraphs.semFileC = append([]byte(nil), buf.Bytes()...)
 		buf.Reset()
-		must(sem.WriteCSRCompressed(&buf, benchGraphs.weightedUW))
+		must(sem.Write(&buf, benchGraphs.weightedUW, sem.WriteConfig{Compress: true}))
 		benchGraphs.semFileWC = append([]byte(nil), buf.Bytes()...)
 	})
 	return &benchGraphs
@@ -378,14 +378,8 @@ func shardFiles(b *testing.B, g *graph.CSR[uint32], shards int, compressed bool)
 	files := make([][]byte, shards)
 	for k := range files {
 		var buf bytes.Buffer
-		var err error
-		cfg := sem.ShardConfig{Shard: k, Shards: shards}
-		if compressed {
-			err = sem.WriteCSRShardCompressed(&buf, g, cfg)
-		} else {
-			err = sem.WriteCSRShard(&buf, g, cfg)
-		}
-		if err != nil {
+		cfg := sem.WriteConfig{Compress: compressed, Shard: &sem.ShardConfig{Shard: k, Shards: shards}}
+		if err := sem.Write(&buf, g, cfg); err != nil {
 			b.Fatal(err)
 		}
 		files[k] = append([]byte(nil), buf.Bytes()...)

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: all, fig1, fig2, table1, table2, table3, table4, table5, ablation, direction, cachepolicy")
+		exp       = flag.String("exp", "all", "experiment: all, fig1, fig2, table1, table2, table3, table4, table5, ablation, direction")
 		scales    = flag.String("scales", "", "comma-separated log2 vertex counts for in-memory tables")
 		semScales = flag.String("semscales", "", "comma-separated log2 vertex counts for SEM tables")
 		degree    = flag.Int("degree", 0, "average out-degree (default 16)")
@@ -34,7 +34,6 @@ func main() {
 		compress  = flag.Bool("compress", false, "mount SEM tables on the delta+varint compressed (v2) edge format")
 		shards    = flag.Int("shards", 1, "mount SEM tables as an N-way hash partition, one device per shard")
 		dirFlag   = flag.String("direction", "", "BFS direction policy for SEM tables: topdown (default), bottomup, or hybrid")
-		cachePol  = flag.String("cachepolicy", "", "SEM block-cache eviction policy: lru (default) or state")
 		prefgap   = flag.String("prefetchgap", "", "span-coalescing slack for SEM prefetch reads (bytes, or with a k/KiB/m/MiB suffix; empty = harness default)")
 		quiet     = flag.Bool("quiet", false, "suppress progress output")
 	)
@@ -75,9 +74,6 @@ func main() {
 		usage(err)
 	}
 	o.Direction = dir
-	if o.CachePolicy, err = sem.ParseCachePolicy(*cachePol); err != nil {
-		usage(fmt.Errorf("-cachepolicy: %v", err))
-	}
 	if *prefgap != "" {
 		if o.PrefetchGap, err = sem.ParseByteSize(*prefgap); err != nil {
 			usage(fmt.Errorf("-prefetchgap: %v", err))
@@ -126,8 +122,6 @@ func run(exp string, o harness.Options) ([]*harness.Table, error) {
 		return harness.Ablations(o)
 	case "direction":
 		return one(harness.AblationDirection(o))
-	case "cachepolicy":
-		return one(harness.AblationCachePolicy(o))
 	default:
 		return nil, fmt.Errorf("unknown -exp %q", exp)
 	}

@@ -64,7 +64,6 @@ func main() {
 		batch        = flag.Int("batch", 0, "engine mailbox batch size (0 = default)")
 		prefetch     = flag.Int("prefetch", 64, "SEM pop-window prefetch size (0 = off)")
 		prefgap      = flag.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap coalesced into one prefetch read (bytes, or with a k/KiB/m/MiB suffix)")
-		cachePol     = flag.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (legacy) or state (algorithm-driven pinning)")
 		dirFlag      = flag.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown requires every -graph to carry in-edges")
 	)
 	tenantLimits := make(map[string]server.TenantLimit)
@@ -104,11 +103,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: -prefetchgap: %v\n", err)
 		os.Exit(2)
 	}
-	policy, err := sem.ParseCachePolicy(*cachePol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: -cachepolicy: %v\n", err)
-		os.Exit(2)
-	}
 	if *admitPolicy != server.AdmitPriority && *admitPolicy != server.AdmitFIFO {
 		fmt.Fprintf(os.Stderr, "serve: unknown -admission %q (want priority or fifo)\n", *admitPolicy)
 		os.Exit(2)
@@ -140,7 +134,7 @@ func main() {
 		Engine:        core.Config{Workers: *workers, SemiSort: *semisort, Batch: *batch, Prefetch: *prefetch, Direction: dir},
 	})
 	for _, spec := range specs {
-		g, err := server.MountGraph(spec, server.MountOptions{Prefetch: *prefetch, PrefetchGap: gap, Direction: dir, CachePolicy: policy})
+		g, err := server.MountGraph(spec, server.MountOptions{Prefetch: *prefetch, PrefetchGap: gap, Direction: dir})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			if errors.Is(err, sem.ErrShardSpec) {

@@ -45,17 +45,16 @@ func main() {
 		batch    = flag.Int("batch", 0, "async mailbox batch size: 0 = default, 1 = lock-per-push")
 		prefetch = flag.Int("prefetch", 0, "SEM pop-window size: pop this many visitors at once and start their adjacency reads asynchronously (0 = off)")
 		prefgap  = flag.String("prefetchgap", strconv.Itoa(sem.DefaultPrefetchGap), "max byte gap bridged when coalescing prefetched adjacency extents into one device read (bytes, or with a k/KiB/m/MiB suffix)")
-		cachePol = flag.String("cachepolicy", sem.PolicyLRU, "SEM block-cache eviction policy: lru (legacy recency order) or state (algorithm-driven: blocks with queued visitors are pinned, settled blocks evicted first)")
 		check    = flag.Bool("check", false, "verify async results against the serial baseline")
 		shards   = flag.Int("shards", 0, "mount graph.shard0..N-1 as one sharded graph (0 = auto-detect from the files present)")
 		dirFlag  = flag.String("direction", "", "BFS direction policy: topdown (default), bottomup, or hybrid; non-topdown needs a graph with in-edges (gengraph/convert -symmetric)")
 	)
 	flag.Parse()
-	if err := validate(*path, *algo, *engine, *workers, *ranks, *semMode, *profile, *shards, *dirFlag, *prefgap, *cachePol); err != nil {
+	if err := validate(*path, *algo, *engine, *workers, *ranks, *semMode, *profile, *shards, *dirFlag, *prefgap); err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
 		os.Exit(2)
 	}
-	if err := run(*path, *algo, *engine, *workers, *ranks, *src, *autoSrc, *semMode, *nocache, *profile, *semisort, *batch, *prefetch, *prefgap, *check, *shards, *dirFlag, *cachePol); err != nil {
+	if err := run(*path, *algo, *engine, *workers, *ranks, *src, *autoSrc, *semMode, *nocache, *profile, *semisort, *batch, *prefetch, *prefgap, *check, *shards, *dirFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "traverse: %v\n", err)
 		if errors.Is(err, sem.ErrShardSpec) || errors.Is(err, core.ErrNoInEdges) {
 			// The files contradict the requested mount or capability: a usage
@@ -78,7 +77,7 @@ var engines = map[string][]string{
 // validate rejects bad flag combinations up front: unknown algorithm or
 // engine, missing graph or shard files, non-positive parallelism, and
 // direction policies the requested algorithm/engine pair cannot honor.
-func validate(path, algo, engine string, workers, ranks int, semMode bool, profile string, shards int, direction, prefetchGap, cachePolicy string) error {
+func validate(path, algo, engine string, workers, ranks int, semMode bool, profile string, shards int, direction, prefetchGap string) error {
 	if path == "" {
 		return fmt.Errorf("-graph is required (a file produced by gengraph)")
 	}
@@ -112,9 +111,6 @@ func validate(path, algo, engine string, workers, ranks int, semMode bool, profi
 	}
 	if _, err := sem.ParseByteSize(prefetchGap); err != nil {
 		return fmt.Errorf("-prefetchgap: %v", err)
-	}
-	if _, err := sem.ParseCachePolicy(cachePolicy); err != nil {
-		return fmt.Errorf("-cachepolicy: %v", err)
 	}
 	dir, err := core.ParseDirection(direction)
 	if err != nil {
@@ -158,7 +154,7 @@ func shardPaths(path string, shards int) ([]string, bool, error) {
 	return paths, true, nil
 }
 
-func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, semMode, nocache bool, profile string, semisort bool, batch, prefetch int, prefetchGapSpec string, check bool, shards int, direction, cachePolicy string) error {
+func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, semMode, nocache bool, profile string, semisort bool, batch, prefetch int, prefetchGapSpec string, check bool, shards int, direction string) error {
 	dir, err := core.ParseDirection(direction)
 	if err != nil {
 		return err
@@ -166,10 +162,6 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 	prefetchGap, err := sem.ParseByteSize(prefetchGapSpec)
 	if err != nil {
 		return fmt.Errorf("-prefetchgap: %v", err)
-	}
-	policy, err := sem.ParseCachePolicy(cachePolicy)
-	if err != nil {
-		return fmt.Errorf("-cachepolicy: %v", err)
 	}
 	paths, sharded, err := shardPaths(path, shards)
 	if err != nil {
@@ -211,9 +203,6 @@ func run(path, algo, engine string, workers, ranks int, src uint64, autoSrc, sem
 			}
 			if sgs[i], err = sem.Open[uint32](store); err != nil {
 				return err
-			}
-			if policy.StateAware() {
-				sgs[i].EnableStateCache()
 			}
 			if prefetch > 1 {
 				sgs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: prefetchGap})
@@ -450,34 +439,22 @@ func reportSemIO(devs []*ssd.Device, caches []*sem.CachedStore, sgs []*sem.Graph
 	fmt.Printf("device: reads=%d writes=%d bytesRead=%d avgRead=%.0fB maxRead=%dB peakReads=%d\n",
 		st.Reads, st.Writes, st.BytesRead, st.AvgReadBytes(), st.MaxReadBytes, st.PeakReads)
 	var hits, misses uint64
-	var pinnedHW int64
 	haveCache := false
-	policy := ""
 	for _, c := range caches {
 		if c == nil {
 			continue
 		}
 		haveCache = true
-		policy = c.PolicyName()
 		h, m := c.Stats()
 		hits += h
 		misses += m
-		if hw := c.PinnedHW(); hw > pinnedHW {
-			pinnedHW = hw
-		}
 	}
 	if haveCache {
 		hitRate := 0.0
 		if hits+misses > 0 {
 			hitRate = 100 * float64(hits) / float64(hits+misses)
 		}
-		fmt.Printf("cache: policy=%s hits=%d misses=%d hitRate=%.1f%%", policy, hits, misses, hitRate)
-		if policy == sem.PolicyState {
-			// High-water mark of simultaneously pinned blocks (per shard device):
-			// how much of the budget the settle counters actually defended.
-			fmt.Printf(" pinnedHW=%d", pinnedHW)
-		}
-		fmt.Println()
+		fmt.Printf("cache: hits=%d misses=%d hitRate=%.1f%%\n", hits, misses, hitRate)
 	}
 	var ps sem.PrefetchStats
 	for _, sg := range sgs {

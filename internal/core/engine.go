@@ -251,9 +251,6 @@ func (c *Ctx[V]) Push(pri uint64, v V, aux uint64) {
 	c.stats.pushes++
 	e := c.engine
 	e.term.Start()
-	if e.settle != nil {
-		e.settle.VertexQueued(uint64(v))
-	}
 	owner := e.owner(uint64(v))
 	it := pq.Item{Pri: pri, V: uint64(v), Aux: aux}
 	if c.out != nil {
@@ -333,14 +330,6 @@ type Engine[V graph.Vertex] struct {
 	// before the window's visitors execute, so a storage back end can start
 	// adjacency I/O early. Only consulted when cfg.Prefetch > 1.
 	prefetch func(window []pq.Item, scratch *graph.Scratch[V])
-
-	// settle, when set (SetSettle), receives the visitor lifecycle: a
-	// VertexQueued at every push site (Ctx.Push, Engine.Push, ParallelInit)
-	// and a VertexSettled for every visitor that leaves the engine — visited,
-	// dropped stale by the kernel, or drained on abort. The pairing rides the
-	// exact same sites as the Terminator's Start/Finish accounting, so on a
-	// completed traversal the two notification streams balance per vertex.
-	settle graph.Settler
 }
 
 // New creates an engine that will execute visit for every queued visitor.
@@ -374,13 +363,6 @@ func (e *Engine[V]) SetPrefetch(fn func(window []pq.Item, scratch *graph.Scratch
 	e.prefetch = fn
 }
 
-// SetSettle registers a traversal-state sink (see graph.Settler): the engine
-// notifies it of every visitor queued and settled, the feed behind
-// state-aware SEM cache eviction. Must be called before Start and before any
-// Push. The sink is called from every worker concurrently; it must be atomic
-// and cheap.
-func (e *Engine[V]) SetSettle(s graph.Settler) { e.settle = s }
-
 // Start launches the worker goroutines. It must be called exactly once,
 // before Wait.
 func (e *Engine[V]) Start() {
@@ -412,9 +394,6 @@ func (e *Engine[V]) owner(v uint64) int {
 // the worker's batching outbox instead (see Ctx.Push).
 func (e *Engine[V]) Push(pri uint64, v V, aux uint64) {
 	e.term.Start()
-	if e.settle != nil {
-		e.settle.VertexQueued(uint64(v))
-	}
 	e.queues[e.owner(uint64(v))].push(pq.Item{Pri: pri, V: uint64(v), Aux: aux})
 }
 
@@ -448,9 +427,6 @@ func (e *Engine[V]) ParallelInit(n uint64, gen func(i uint64) (pri uint64, v V, 
 			for i := lo; i < hi; i++ {
 				pri, v, aux := gen(i)
 				e.term.Start()
-				if e.settle != nil {
-					e.settle.VertexQueued(uint64(v))
-				}
 				owner := e.owner(uint64(v))
 				it := pq.Item{Pri: pri, V: uint64(v), Aux: aux}
 				if out != nil {
@@ -573,42 +549,9 @@ func (e *Engine[V]) worker(id int) {
 		if err := e.visit(ctx, it); err != nil {
 			e.fail(err)
 		}
-		if e.settle != nil {
-			e.settle.VertexSettled(it.V)
-		}
 		if e.term.Finish() {
 			e.finish()
 		}
-	}
-	e.drainAborted(q, ctx)
-}
-
-// drainAborted settles the visitors an aborted worker leaves behind — its own
-// queue plus its undelivered outbox buffers — so a storage back end's settle
-// counters do not stay pinned after a cancelled query on a long-lived mount.
-// Best-effort by design: visitors sitting in *other* workers' outboxes at
-// abort time are missed, which graph.Settler implementations must tolerate
-// (the sem policy's decrements saturate at zero, so a missed settle means at
-// most a block that stays pinned until the file's next traversal touches it).
-// The Terminator is left alone: aborted traversals already abandon its count.
-func (e *Engine[V]) drainAborted(q *workQueue, ctx *Ctx[V]) {
-	if e.settle == nil {
-		return
-	}
-	if ctx.out != nil {
-		for owner, buf := range ctx.out.bufs {
-			for _, it := range buf {
-				e.settle.VertexSettled(it.V)
-			}
-			ctx.out.bufs[owner] = buf[:0]
-		}
-	}
-	for {
-		it, ok := q.tryPop()
-		if !ok {
-			return
-		}
-		e.settle.VertexSettled(it.V)
 	}
 }
 
@@ -655,13 +598,9 @@ func (e *Engine[V]) workerWindowed(id int, ctx *Ctx[V]) {
 					e.fail(err)
 				}
 			}
-			if e.settle != nil {
-				e.settle.VertexSettled(it.V)
-			}
 			if e.term.Finish() {
 				e.finish()
 			}
 		}
 	}
-	e.drainAborted(q, ctx)
 }

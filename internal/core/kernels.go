@@ -102,17 +102,6 @@ func runKernel[V graph.Vertex](
 	} else {
 		e = New[V](cfg, k.visit)
 	}
-	// Storage back ends with state-aware caching opt in through an optional
-	// capability: a SettleProvider's sink receives the visitor lifecycle,
-	// feeding the per-block settle counters behind the cache's eviction
-	// scoring and span shaping. The sink is nil while state-aware caching is
-	// inactive, so plain mounts wire nothing and run bit-identically to the
-	// legacy engine.
-	if sp, ok := g.(graph.SettleProvider); ok {
-		if sink := sp.SettleSink(); sink != nil {
-			e.SetSettle(sink)
-		}
-	}
 	if cfg.Prefetch > 1 {
 		if ba, ok := g.(graph.BatchAdjacency[V]); ok {
 			e.SetPrefetch(func(window []pq.Item, scratch *graph.Scratch[V]) {

@@ -54,11 +54,6 @@ type Options struct {
 	// PrefetchGap is the span-coalescing slack in bytes
 	// (sem.PrefetchConfig.MaxGap); only meaningful when Prefetch > 1.
 	PrefetchGap int
-	// CachePolicy selects the block-cache eviction policy of every SEM mount
-	// (zero value = legacy LRU). The state-aware policy wires the engine's
-	// settle hook into per-block pending-visitor counters, pins blocks with
-	// queued work, and biases pop-windows toward cache-resident vertices.
-	CachePolicy sem.CachePolicyConfig
 	// Compressed mounts the semi-external tables on the delta+varint
 	// compressed (v2) on-flash format instead of raw fixed records, cutting
 	// device bytes per traversed edge; Table IV/V's B/edge column shows the

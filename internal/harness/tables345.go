@@ -147,35 +147,8 @@ type SEMIO struct {
 	CacheHits   uint64
 	CacheMisses uint64
 	Prefetch    sem.PrefetchStats
-	// DedupSpans / DedupBytes count prefetch spans (and their bytes) that were
-	// satisfied by another worker's in-flight read instead of a device
-	// operation — the cross-worker span dedup's savings. They mirror the same
-	// counters inside Prefetch, lifted out as first-class columns.
-	DedupSpans uint64
-	DedupBytes uint64
-	// PinnedHW is the high-water mark of simultaneously pinned blocks under
-	// the state-aware cache policy (max across shard members; 0 under LRU).
-	PinnedHW  int64
-	EdgeBytes int64  // on-flash edge bytes, summed across members
-	Edges     uint64 // logical edge count
-}
-
-// ReadsPerEdge reports device read operations per logical edge, the ablation
-// metric the cache-policy comparison is judged on (0 when the mount is empty).
-func (s SEMIO) ReadsPerEdge() float64 {
-	if s.Edges == 0 {
-		return 0
-	}
-	return float64(s.Device.Reads) / float64(s.Edges)
-}
-
-// CacheHitRate reports block-cache hits over total block lookups (0 when the
-// run performed none).
-func (s SEMIO) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
+	EdgeBytes   int64  // on-flash edge bytes, summed across members
+	Edges       uint64 // logical edge count
 }
 
 // mountedSEM is one semi-external mount built for a measurement: a single
@@ -202,17 +175,12 @@ func (m *mountedSEM) io() SEMIO {
 		hits, misses := c.Stats()
 		out.CacheHits += hits
 		out.CacheMisses += misses
-		if hw := c.PinnedHW(); hw > out.PinnedHW {
-			out.PinnedHW = hw
-		}
 	}
 	for _, sg := range m.sgs {
 		out.Prefetch.Add(sg.PrefetchStats())
 		out.EdgeBytes += sg.EdgeBytes()
 		out.Edges += sg.NumEdges()
 	}
-	out.DedupSpans = out.Prefetch.DedupSpans
-	out.DedupBytes = out.Prefetch.DedupBytes
 	return out
 }
 
@@ -260,9 +228,6 @@ func semMount(o Options, g *graph.CSR[uint32], p ssd.Profile) (*mountedSEM, erro
 		}
 		if m.sgs[k], err = sem.Open[uint32](m.caches[k]); err != nil {
 			return nil, err
-		}
-		if o.CachePolicy.StateAware() {
-			m.sgs[k].EnableStateCache()
 		}
 		if o.Prefetch > 1 {
 			m.sgs[k].EnablePrefetch(sem.PrefetchConfig{MaxGap: o.PrefetchGap})
@@ -327,9 +292,6 @@ func semGraph(o Options, g *graph.CSR[uint32], p ssd.Profile) (*sem.Graph[uint32
 	sg, err := sem.Open[uint32](cache)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if o.CachePolicy.StateAware() {
-		sg.EnableStateCache()
 	}
 	if o.Prefetch > 1 {
 		sg.EnablePrefetch(sem.PrefetchConfig{MaxGap: o.PrefetchGap})

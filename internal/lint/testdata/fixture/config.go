@@ -70,7 +70,7 @@ func (c *ShardConfig) normalize() {
 	}
 }
 
-// PolicyConfig mirrors the sem cache-policy config: Validate copies the
+// PolicyConfig is a copy-then-normalize config: Validate copies the
 // receiver and re-validates through normalize, which defaults the Kind
 // string. Both methods reference Kind, so the struct is clean; Trace is
 // referenced by neither: violation.

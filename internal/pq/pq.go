@@ -30,8 +30,7 @@ type Heap struct {
 // reads 30-65%: the semi-sort key exists to make each window's extents
 // contiguous on storage, and any ordering layered above it fragments the
 // coalesced spans the prefetcher forms. Window membership must stay purely
-// priority + id ordered; cache affinity is applied on the cache side instead
-// (recency promotion of queued blocks, pending-run span extension).
+// priority + id ordered.
 
 // New returns an empty heap. When semiSort is true, ties on Pri are broken by
 // ascending V.

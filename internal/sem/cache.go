@@ -21,17 +21,11 @@ type CachedStore struct {
 	size      int64 // backing size, for tail-block clamping
 	maxBlock  int64 // number of device blocks
 	readahead int   // blocks fetched per miss (>= 1)
-	capBlocks int64 // total block budget across shards
 	shards    []cacheShard
 
-	// policy, when non-nil, scores blocks at eviction time (see CachePolicy);
-	// nil is exact LRU. Set once via UsePolicy/EnableStatePolicy before the
-	// store sees traffic.
-	policy CachePolicy
-
 	// resident is a bitset over block ids: a set bit means the block is
-	// cached or being fetched. It gives the prefetcher and the recency-touch
-	// path a residency answer without taking shard locks on the hot path.
+	// cached or being fetched. It gives the prefetcher a residency answer
+	// without taking shard locks on the hot path.
 	resident []atomic.Uint64
 
 	hits   atomic.Uint64
@@ -56,17 +50,13 @@ type cacheEntry struct {
 // os.File via a wrapper). CachedStore needs it to clamp the final block.
 type Sizer interface{ Size() int64 }
 
-// NewCachedStore creates a block cache over inner with the given block size
-// and total capacity in bytes, and no readahead. inner must implement Sizer.
-func NewCachedStore(inner Store, blockSize int, capacityBytes int64) (*CachedStore, error) {
-	return NewCachedStoreRA(inner, blockSize, capacityBytes, 1)
-}
-
-// NewCachedStoreRA additionally fetches `readahead` consecutive blocks per
-// miss in a single device operation, the way the OS page cache's readahead
-// turns the semi-sorted edge sweep into large sequential transfers. One
-// operation's latency is charged regardless of span; the extra bytes pay only
-// the device's bandwidth term, matching sequential-transfer behaviour.
+// NewCachedStoreRA creates a block cache over inner with the given block
+// size and total capacity in bytes; inner must implement Sizer. Each miss
+// fetches `readahead` consecutive blocks (at least 1) in a single device
+// operation, the way the OS page cache's readahead turns the semi-sorted
+// edge sweep into large sequential transfers. One operation's latency is
+// charged regardless of span; the extra bytes pay only the device's
+// bandwidth term, matching sequential-transfer behaviour.
 func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead int) (*CachedStore, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("sem: block size must be positive, got %d", blockSize)
@@ -79,11 +69,10 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 		return nil, fmt.Errorf("sem: cached store requires a store with a known size")
 	}
 	// Shard the lock only as far as the budget supports: a shard needs a
-	// meaningful victim set (>= minShardBlocks) for any replacement order —
-	// recency or score — to express a preference. Splitting a small budget 16
-	// ways leaves one block per shard, and every install evicts the only
-	// other resident whatever the policy says. Large budgets keep the full
-	// shard count for lock spreading.
+	// meaningful victim set (>= minShardBlocks) for recency to express a
+	// preference. Splitting a small budget 16 ways leaves one block per
+	// shard, and every install evicts the only other resident. Large budgets
+	// keep the full shard count for lock spreading.
 	const maxShards, minShardBlocks = 16, 32
 	totalBlocks := capacityBytes / int64(blockSize)
 	numShards := int(totalBlocks / minShardBlocks)
@@ -102,7 +91,6 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 		blockSize: int64(blockSize),
 		size:      szr.Size(),
 		readahead: readahead,
-		capBlocks: int64(perShard) * int64(numShards),
 		shards:    make([]cacheShard, numShards),
 	}
 	c.maxBlock = (c.size + c.blockSize - 1) / c.blockSize
@@ -115,62 +103,6 @@ func NewCachedStoreRA(inner Store, blockSize int, capacityBytes int64, readahead
 		}
 	}
 	return c, nil
-}
-
-// UsePolicy installs an eviction policy (nil = exact LRU). Call before the
-// store sees traffic; the policy pointer is read without synchronization on
-// the miss path.
-func (c *CachedStore) UsePolicy(p CachePolicy) { c.policy = p }
-
-// EnableStatePolicy installs a state-aware policy sized for this store and
-// returns it so the settle hook can feed it. Call before traffic.
-func (c *CachedStore) EnableStatePolicy() *StatePolicy {
-	sp := NewStatePolicy(c.maxBlock)
-	sp.onHot = c.touch
-	c.policy = sp
-	return sp
-}
-
-// touch refreshes block id's recency if it is resident. The state policy
-// calls it when a block gains its first pending visitor: the engine just
-// queued a vertex whose adjacency lives there, so the block will be read
-// within a pop-window's time. Pure LRU would leave it wherever its *last*
-// read put it — often the tail, evicted in the push-to-pop gap and then
-// re-read from the device moments later. The residency bitset pre-filters
-// non-resident blocks, so the common cold-block case costs one atomic load
-// and no lock.
-//
-//lint:hotpath
-func (c *CachedStore) touch(id int64) {
-	if id < 0 || id >= c.maxBlock {
-		return
-	}
-	if c.resident[id>>6].Load()&(1<<(uint(id)&63)) == 0 {
-		return
-	}
-	sh := c.shard(id)
-	sh.mu.Lock()
-	if el, ok := sh.blocks[id]; ok {
-		sh.lru.MoveToFront(el)
-	}
-	sh.mu.Unlock()
-}
-
-// PolicyName reports the active eviction policy's flag spelling.
-func (c *CachedStore) PolicyName() string {
-	if c.policy == nil {
-		return PolicyLRU
-	}
-	return c.policy.Name()
-}
-
-// PinnedHW reports the state policy's pinned-block high-water mark (0 under
-// plain LRU).
-func (c *CachedStore) PinnedHW() int64 {
-	if sp, ok := c.policy.(*StatePolicy); ok {
-		return sp.PinnedHW()
-	}
-	return 0
 }
 
 // setResident / clearResident maintain the residency bitset.
@@ -248,91 +180,22 @@ func (c *CachedStore) dropLocked(sh *cacheShard, el *list.Element) {
 	c.clearResident(ent.id)
 }
 
-// evictSampleSlack bounds how far past the overflow count the state-aware
-// eviction pass looks for settled blocks before it starts evicting pinned
-// ones. It caps the lock-hold time at O(overflow + slack), and it also bounds
-// how far the policy may deviate from LRU order: on power-law graphs a hub
-// block's counter dips to zero between label corrections, and a wide sample
-// evicts exactly those about-to-be-re-queued blocks. A few positions of slack
-// keep the settled-first preference without surrendering the recency signal.
-const evictSampleSlack = 4
-
 // evictLocked brings the shard back under capacity in one batched
-// back-to-front pass (keep, when non-nil, is never evicted). With no policy
-// this is exact LRU: the tail entries are dropped oldest-first. With a policy
-// it samples the tail, evicting settled blocks (score 0) oldest-first and
-// falling back to plain LRU order over the sample when the shard is over
-// capacity with everything pinned — capacity is a hard budget, and recency
-// beats near-uniform positive scores as a reuse predictor. Caller holds
-// sh.mu.
+// back-to-front pass: exact LRU, oldest first, never evicting keep (the
+// entry just installed). Caller holds sh.mu.
+//
+// Recency is the only order: a state-aware policy scoring blocks by pending
+// visitors lost every sem-rmat pressure pair (-20% TEPS) and was removed
+// (EXPERIMENTS.md).
 func (c *CachedStore) evictLocked(sh *cacheShard, keep *list.Element) {
 	over := sh.lru.Len() - sh.capacity
-	if over <= 0 {
-		return
-	}
-	if c.policy == nil {
-		for el := sh.lru.Back(); el != nil && over > 0; {
-			prev := el.Prev()
-			if el != keep {
-				c.dropLocked(sh, el)
-				over--
-			}
-			el = prev
-		}
-		return
-	}
-	type victim struct {
-		el    *list.Element
-		score int64
-	}
-	cand := make([]victim, 0, over+evictSampleSlack)
-	for el := sh.lru.Back(); el != nil && len(cand) < cap(cand); el = el.Prev() {
-		if el == keep {
-			continue
-		}
-		cand = append(cand, victim{el, c.policy.Score(el.Value.(*cacheEntry).id)})
-	}
-	// First pass: settled blocks, oldest first.
-	for i := range cand {
-		if over == 0 {
-			return
-		}
-		if cand[i].score == 0 {
-			c.dropLocked(sh, cand[i].el)
-			cand[i].el = nil
+	for el := sh.lru.Back(); el != nil && over > 0; {
+		prev := el.Prev()
+		if el != keep {
+			c.dropLocked(sh, el)
 			over--
 		}
-	}
-	// Still over capacity: everything sampled is pinned, and pending-work
-	// counts carry no recency signal — when the frontier spans several times
-	// the cache, nearly every block scores positive and score differences are
-	// noise. Fall back to LRU order (cand is back-to-front, oldest first):
-	// capacity is a hard budget, and recency is the best remaining predictor.
-	for i := range cand {
-		if over == 0 {
-			return
-		}
-		if cand[i].el != nil {
-			c.dropLocked(sh, cand[i].el)
-			cand[i].el = nil
-			over--
-		}
-	}
-}
-
-// Resize changes the cache's total byte capacity at runtime, shrinking each
-// shard in one batched eviction pass instead of a per-entry lock-and-walk.
-func (c *CachedStore) Resize(capacityBytes int64) {
-	perShard := int(capacityBytes / c.blockSize / int64(len(c.shards)))
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.capacity = perShard
-		c.evictLocked(sh, nil)
-		sh.mu.Unlock()
+		el = prev
 	}
 }
 
@@ -371,41 +234,13 @@ func (c *CachedStore) block(id int64) ([]byte, error) {
 	}
 	sh.mu.Unlock()
 
-	maxBlock := (c.size + c.blockSize - 1) / c.blockSize
-	if id >= maxBlock || id < 0 {
+	if id >= c.maxBlock || id < 0 {
 		return nil, fmt.Errorf("sem: cache read beyond device end (block %d)", id)
 	}
 	span := int64(c.readahead)
-	if id+span > maxBlock {
-		span = maxBlock - id
+	if id+span > c.maxBlock {
+		span = c.maxBlock - id
 	}
-	// State-aware span shaping: a miss's readahead window extends through
-	// the contiguous run of blocks with pending visitors. Those blocks are
-	// guaranteed future reads — the settle counters say queued work targets
-	// them — so fetching them now converts their upcoming miss operations
-	// into hits for only the bandwidth term of this one operation. The
-	// extension is capped at 4x the legacy readahead and at half of the
-	// cache's block budget: an uncapped span can install the entire cache
-	// in one miss and flush exactly the residency it is trying to build
-	// (measured as a ~10-20% read regression when the span reaches the
-	// whole budget). Blocks past the pending run are never fetched
-	// beyond the legacy window, so a cold start or a settled region reads
-	// exactly as before.
-	if c.policy != nil {
-		max := 4 * int64(c.readahead)
-		if cb := c.capBlocks / 2; cb < max {
-			max = cb
-		}
-		if id+max > maxBlock {
-			max = maxBlock - id
-		}
-		k := span
-		for k < max && c.policy.Score(id+k) > 0 {
-			k++
-		}
-		span = k
-	}
-
 	// Install placeholders for every absent block of the span. If block id
 	// itself appears concurrently, another fetcher owns it: wait on theirs.
 	type owned struct {

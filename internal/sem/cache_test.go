@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/ssd"
 )
@@ -27,10 +28,10 @@ func seqBacking(n int) *ssd.MemBacking {
 
 func TestCachedStoreValidation(t *testing.T) {
 	d := fastDevice(seqBacking(64))
-	if _, err := NewCachedStore(d, 0, 1024); err == nil {
+	if _, err := NewCachedStoreRA(d, 0, 1024, 1); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := NewCachedStore(sizelessStore{}, 16, 1024); err == nil {
+	if _, err := NewCachedStoreRA(sizelessStore{}, 16, 1024, 1); err == nil {
 		t.Fatal("sizeless store accepted")
 	}
 }
@@ -38,7 +39,7 @@ func TestCachedStoreValidation(t *testing.T) {
 func TestCachedStoreReadsMatchDevice(t *testing.T) {
 	back := seqBacking(4096)
 	d := fastDevice(back)
-	c, err := NewCachedStore(d, 64, 1024)
+	c, err := NewCachedStoreRA(d, 64, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestCachedStoreReadsMatchDevice(t *testing.T) {
 func TestCachedStoreHitsReduceDeviceReads(t *testing.T) {
 	back := seqBacking(4096)
 	d := fastDevice(back)
-	c, err := NewCachedStore(d, 256, 4096) // whole device fits
+	c, err := NewCachedStoreRA(d, 256, 4096, 1) // whole device fits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCachedStoreEvicts(t *testing.T) {
 	back := seqBacking(1 << 16)
 	d := fastDevice(back)
 	// Capacity of 16 blocks over 16 shards: 1 block per shard.
-	c, err := NewCachedStore(d, 64, 16*64)
+	c, err := NewCachedStoreRA(d, 64, 16*64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCachedStoreEvicts(t *testing.T) {
 }
 
 func TestCachedStoreOutOfRange(t *testing.T) {
-	c, err := NewCachedStore(fastDevice(seqBacking(100)), 64, 1024)
+	c, err := NewCachedStoreRA(fastDevice(seqBacking(100)), 64, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestCachedStoreOutOfRange(t *testing.T) {
 func TestCachedStoreConcurrentReaders(t *testing.T) {
 	back := seqBacking(1 << 15)
 	d := fastDevice(back)
-	c, err := NewCachedStore(d, 128, 2048)
+	c, err := NewCachedStoreRA(d, 128, 2048, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +157,16 @@ func TestCachedStoreConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSEMTraversalThroughCacheMatches checks traversals read through the
+// block cache against the in-memory results: first a roomy cache, then the
+// eviction-pressure matrix — a budget of a quarter of the file, readahead,
+// and the prefetcher on — for BFS, SSSP and CC over raw, compressed and
+// 2-shard layouts.
 func TestSEMTraversalThroughCacheMatches(t *testing.T) {
 	g := buildGraph(t, 300, 3000, false, 31)
 	back := writeToMem(t, g)
 	dev := fastDevice(back)
-	c, err := NewCachedStore(dev, 4096, 64*1024)
+	c, err := NewCachedStoreRA(dev, 4096, 64*1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +190,124 @@ func TestSEMTraversalThroughCacheMatches(t *testing.T) {
 	if h, m := c.Stats(); h == 0 || m == 0 {
 		t.Fatalf("cache stats: hits=%d misses=%d (expected both nonzero)", h, m)
 	}
+
+	base, err := gen.RMATUndirected[uint32](9, 8, gen.RMATB, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := gen.UniformWeights(base, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Workers: 8, Prefetch: 16, SemiSort: true}
+	const src = uint32(1)
+	imBFS, err := core.BFS[uint32](weighted, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imSSSP, err := core.SSSP[uint32](weighted, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imCC, err := core.CC[uint32](weighted, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// mount opens one file's bytes behind a cache of a quarter of its size.
+	var caches []*CachedStore
+	mount := func(t *testing.T, data []byte) *Graph[uint32] {
+		t.Helper()
+		c, err := NewCachedStoreRA(fastDevice(&ssd.MemBacking{Data: data}), 512, int64(len(data))/4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := Open[uint32](c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg.EnablePrefetch(PrefetchConfig{MaxGap: 1024})
+		caches = append(caches, c)
+		return sg
+	}
+	layouts := []struct {
+		name string
+		open func(t *testing.T) (graph.Adjacency[uint32], []*Graph[uint32])
+	}{
+		{"raw", func(t *testing.T) (graph.Adjacency[uint32], []*Graph[uint32]) {
+			sg := mount(t, writeToMem(t, weighted).Data)
+			return sg, []*Graph[uint32]{sg}
+		}},
+		{"compressed", func(t *testing.T) (graph.Adjacency[uint32], []*Graph[uint32]) {
+			var buf bytes.Buffer
+			if err := Write(&buf, weighted, WriteConfig{Compress: true}); err != nil {
+				t.Fatal(err)
+			}
+			sg := mount(t, buf.Bytes())
+			return sg, []*Graph[uint32]{sg}
+		}},
+		{"sharded-2", func(t *testing.T) (graph.Adjacency[uint32], []*Graph[uint32]) {
+			sgs := []*Graph[uint32]{
+				mount(t, writeShardBytes(t, weighted, 0, 2, false)),
+				mount(t, writeShardBytes(t, weighted, 1, 2, false)),
+			}
+			sh, err := MountShards(sgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sh, sgs
+		}},
+	}
+	for _, l := range layouts {
+		t.Run("pressure-"+l.name, func(t *testing.T) {
+			caches = caches[:0]
+			adj, sgs := l.open(t)
+			bfs, err := core.BFS(adj, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range imBFS.Level {
+				if bfs.Level[v] != imBFS.Level[v] {
+					t.Fatalf("BFS level[%d] = %d, want %d", v, bfs.Level[v], imBFS.Level[v])
+				}
+			}
+			sssp, err := core.SSSP(adj, src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range imSSSP.Dist {
+				if sssp.Dist[v] != imSSSP.Dist[v] {
+					t.Fatalf("SSSP dist[%d] = %d, want %d", v, sssp.Dist[v], imSSSP.Dist[v])
+				}
+			}
+			cc, err := core.CC(adj, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range imCC.ID {
+				if cc.ID[v] != imCC.ID[v] {
+					t.Fatalf("CC id[%d] = %d, want %d", v, cc.ID[v], imCC.ID[v])
+				}
+			}
+			// The matrix means nothing unless the cache actually evicted and
+			// the prefetcher actually issued spans.
+			var misses uint64
+			for _, c := range caches {
+				_, m := c.Stats()
+				misses += m
+				if budget := c.shards[0].capacity * len(c.shards); int64(budget) >= c.maxBlock {
+					t.Fatalf("cache holds %d of %d blocks: no eviction pressure", budget, c.maxBlock)
+				}
+			}
+			var spans uint64
+			for _, sg := range sgs {
+				spans += sg.PrefetchStats().Spans
+			}
+			if misses == 0 || spans == 0 {
+				t.Fatalf("misses=%d spans=%d; want both nonzero", misses, spans)
+			}
+		})
+	}
 }
 
 func TestSemiSortImprovesCacheHitRate(t *testing.T) {
@@ -195,7 +319,7 @@ func TestSemiSortImprovesCacheHitRate(t *testing.T) {
 
 	deviceReads := func(semiSort bool) uint64 {
 		dev := ssd.New(ssd.Profile{Name: "fast", Channels: 8, ReadLatency: time.Nanosecond}, back)
-		c, err := NewCachedStore(dev, 4096, 16*4096) // small cache forces locality to matter
+		c, err := NewCachedStoreRA(dev, 4096, 16*4096, 1) // small cache forces locality to matter
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +344,7 @@ func TestCachedStoreSingleflight(t *testing.T) {
 	// device read.
 	back := seqBacking(8192)
 	dev := ssd.New(ssd.Profile{Name: "slow", Channels: 4, ReadLatency: 20 * time.Millisecond}, back)
-	c, err := NewCachedStore(dev, 4096, 16*4096)
+	c, err := NewCachedStoreRA(dev, 4096, 16*4096, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +372,12 @@ func TestCachedStoreSingleflight(t *testing.T) {
 func TestCachedStoreFailedFetchRetries(t *testing.T) {
 	back := seqBacking(8192)
 	inner := &erroringStore{inner: fastDevice(back), after: 0}
-	// Wrap with a size so NewCachedStore accepts it.
+	// Wrap with a size so NewCachedStoreRA accepts it.
 	sized := struct {
 		Store
 		Sizer
 	}{inner, &ssd.MemBacking{Data: back.Data}}
-	c, err := NewCachedStore(sized, 4096, 4*4096)
+	c, err := NewCachedStoreRA(sized, 4096, 4*4096, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +393,10 @@ func TestCachedStoreFailedFetchRetries(t *testing.T) {
 }
 
 func TestConcurrentTraversalsShareCache(t *testing.T) {
-	// Two traversals running simultaneously over one CachedStore must both
+	// Traversals running simultaneously over one CachedStore must all
 	// produce correct results (the store is shared, per-traversal state is
-	// not).
+	// not). Odd runs pop windows through the shared prefetcher, so its
+	// in-flight span table is shared across traversals too.
 	g := buildGraph(t, 500, 5000, false, 41)
 	back := writeToMem(t, g)
 	dev := fastDevice(back)
@@ -283,6 +408,7 @@ func TestConcurrentTraversalsShareCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sg.EnablePrefetch(PrefetchConfig{MaxGap: 1024})
 	want, err := baseline.SerialBFS[uint32](g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +418,7 @@ func TestConcurrentTraversalsShareCache(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := core.BFS[uint32](sg, 0, core.Config{Workers: 8, SemiSort: true})
+			res, err := core.BFS[uint32](sg, 0, core.Config{Workers: 8, SemiSort: true, Prefetch: 16 * (run % 2)})
 			if err != nil {
 				t.Errorf("BFS: %v", err)
 				return
@@ -313,7 +439,7 @@ func TestCachedStoreTailBlockClamp(t *testing.T) {
 	// Reads inside the clamped tail succeed byte-exact; reads crossing the
 	// end fail rather than returning fabricated bytes.
 	back := seqBacking(100)
-	c, err := NewCachedStore(fastDevice(back), 64, 1024)
+	c, err := NewCachedStoreRA(fastDevice(back), 64, 1024, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +498,7 @@ func TestCachedStoreConcurrentColdMisses(t *testing.T) {
 	const blocks = 8
 	back := seqBacking(blocks * 64)
 	d := fastDevice(back)
-	c, err := NewCachedStore(d, 64, blocks*64*16) // ample: no evictions
+	c, err := NewCachedStoreRA(d, 64, blocks*64*16, 1) // ample: no evictions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,5 +550,44 @@ func TestSEM64BitTraversal(t *testing.T) {
 	}
 	if res.Level[99] != 99 {
 		t.Fatalf("level[99] = %d", res.Level[99])
+	}
+}
+
+// TestCachedStoreTouchAndResidentRange checks the residency bitset the
+// prefetcher probes, and that a read hit refreshes a block's recency.
+func TestCachedStoreTouchAndResidentRange(t *testing.T) {
+	back := &ssd.MemBacking{Data: make([]byte, 64*512)}
+	cache, err := NewCachedStoreRA(fastDevice(back), 512, 4*512, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	read := func(id int64) {
+		t.Helper()
+		if _, err := cache.ReadAt(buf, id*512); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int64(0); id < 4; id++ {
+		read(id)
+	}
+	if !cache.residentRange(0, 4*512) {
+		t.Fatal("freshly read range not resident")
+	}
+	if cache.residentRange(0, 5*512) {
+		t.Fatal("range including an unread block reported resident")
+	}
+	// A hit on block 0 right before an eviction-forcing read must sacrifice
+	// block 1, the least recently used, instead.
+	read(0)
+	read(4)
+	if !cache.residentRange(0, 512) {
+		t.Fatal("recently hit block evicted")
+	}
+	if cache.residentRange(1*512, 512) {
+		t.Fatal("least recently used block survived")
+	}
+	if cache.residentRange(999999*512, 512) {
+		t.Fatal("out-of-range block reported resident")
 	}
 }

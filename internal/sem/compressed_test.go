@@ -14,7 +14,7 @@ import (
 func writeCompressedToMem[V graph.Vertex](t testing.TB, g *graph.CSR[V]) *ssd.MemBacking {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSRCompressed(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
 	return &ssd.MemBacking{Data: buf.Bytes()}
@@ -92,20 +92,6 @@ func TestCompressedLoadCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAdjacency(t, g, got)
-}
-
-func TestLoadCompressedCSR(t *testing.T) {
-	g := buildGraph(t, 120, 900, true, 6)
-	back := writeCompressedToMem(t, g)
-	c, err := LoadCompressedCSR[uint32](fastDevice(back))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAdjacency(t, g, c)
-
-	if _, err := LoadCompressedCSR[uint32](fastDevice(writeToMem(t, g))); err == nil {
-		t.Fatal("LoadCompressedCSR accepted a v1 store")
-	}
 }
 
 // The v2 edge region must be meaningfully smaller than v1 on an RMAT graph —
@@ -276,7 +262,7 @@ func TestCompressed64Bit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSRCompressed(&buf, g); err != nil {
+	if err := Write(&buf, g, WriteConfig{Compress: true}); err != nil {
 		t.Fatal(err)
 	}
 	sg, err := Open[uint64](&ssd.MemBacking{Data: buf.Bytes()})

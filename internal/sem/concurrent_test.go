@@ -28,7 +28,7 @@ func TestConcurrentTraversalsSharedStore(t *testing.T) {
 	}
 	back := writeToMem(t, weighted)
 	dev := fastDevice(back)
-	cache, err := NewCachedStore(dev, 4096, 1<<19)
+	cache, err := NewCachedStoreRA(dev, 4096, 1<<19, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,10 @@ package sem
 // corrections, never wrong labels.
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -60,6 +63,35 @@ type PrefetchConfig struct {
 	IOWorkers int
 }
 
+// ParseByteSize parses a byte count with an optional binary unit suffix:
+// plain digits, or a k/K/KiB/KB (1024) or m/M/MiB/MB (1048576) suffix, e.g.
+// "32768", "32k", "32KiB", "1MiB" — the spelling of the -prefetchgap flags.
+// Unknown units are an error, not silently ignored.
+func ParseByteSize(s string) (int, error) {
+	t := strings.TrimSpace(s)
+	if t == "" {
+		return 0, fmt.Errorf("empty byte size")
+	}
+	mult := 1
+	for _, u := range []struct {
+		suffix string
+		mult   int
+	}{
+		{"KiB", 1 << 10}, {"KB", 1 << 10}, {"k", 1 << 10}, {"K", 1 << 10},
+		{"MiB", 1 << 20}, {"MB", 1 << 20}, {"m", 1 << 20}, {"M", 1 << 20},
+	} {
+		if strings.HasSuffix(t, u.suffix) {
+			mult, t = u.mult, strings.TrimSuffix(t, u.suffix)
+			break
+		}
+	}
+	n, err := strconv.Atoi(t)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad byte size %q (want digits with optional k/KiB/m/MiB suffix)", s)
+	}
+	return n * mult, nil
+}
+
 // PrefetchStats counts prefetcher activity over the graph's lifetime. All
 // counters are monotone; read them after a traversal completes.
 type PrefetchStats struct {
@@ -78,8 +110,8 @@ type PrefetchStats struct {
 	DedupBytes uint64 // bytes those avoided reads would have transferred
 
 	// ResidentSkips counts coalesced spans whose whole byte range was already
-	// cached or in flight at window time (state-aware mounts only): the span
-	// read is served block-for-block from the cache and costs no device
+	// cached or in flight at window time (cached mounts only): the span read
+	// is served block-for-block from the cache and costs no device
 	// operation.
 	ResidentSkips uint64
 
@@ -129,6 +161,10 @@ func (s PrefetchStats) ConsumedFrac() float64 {
 type Prefetcher struct {
 	cfg PrefetchConfig
 	sem chan struct{} // bounds in-flight span reads
+
+	// cache answers residency probes for ResidentSkips; nil when the graph
+	// reads its store directly.
+	cache *CachedStore
 
 	// The in-flight span table (cross-worker dedup): every issued span is
 	// registered from issue to read completion, and a worker whose coalesced
@@ -313,6 +349,7 @@ func (p *Prefetcher) read(store Store, sp *span) {
 // before. Call once, before the traversal starts.
 func (g *Graph[V]) EnablePrefetch(cfg PrefetchConfig) {
 	g.prefetch = newPrefetcher(cfg)
+	g.prefetch.cache, _ = g.store.(*CachedStore)
 }
 
 // PrefetchStats reports the prefetcher's counters; zero when prefetch was
@@ -370,7 +407,6 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 	// span's end. Duplicate or overlapping extents (the same vertex popped
 	// twice in one window) fold into the same span bytes.
 	maxGap := int64(p.cfg.MaxGap)
-	affine := g.state != nil && g.cache != nil
 	for i := 0; i < len(exts); {
 		start := exts[i].off
 		end := start + int64(exts[i].n)
@@ -388,14 +424,14 @@ func (g *Graph[V]) NeighborsBatch(vs []V, scratch *graph.Scratch[V]) {
 			}
 			j++
 		}
-		// Cache-affine accounting: a span whose whole byte range is already
+		// Residency accounting: a span whose whole byte range is already
 		// resident (or in flight) is recorded as a resident window — its read
 		// below is served block-for-block from the cache and costs no device
 		// operation, only the copy into the span buffer. Skipping the read
 		// instead is a trap: the bytes must be snapshotted now, while they are
 		// resident, because visit-time fallback reads land after eviction
 		// churn has recycled the blocks.
-		if affine && g.cache.residentRange(start, int(end-start)) {
+		if p.cache != nil && p.cache.residentRange(start, int(end-start)) {
 			p.resSkips.Add(1)
 		}
 		// Cross-worker dedup: when another worker's in-flight span already

@@ -237,3 +237,34 @@ func TestPrefetchTraversalMatchesBaseline(t *testing.T) {
 		}
 	}
 }
+
+func TestParseByteSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"0", 0, true},
+		{"4096", 4096, true},
+		{" 8k ", 8 << 10, true},
+		{"8K", 8 << 10, true},
+		{"32KiB", 32 << 10, true},
+		{"32KB", 32 << 10, true},
+		{"2m", 2 << 20, true},
+		{"1MiB", 1 << 20, true},
+		{"", 0, false},
+		{"-1", 0, false},
+		{"32GiB", 0, false},
+		{"lots", 0, false},
+		{"k", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseByteSize(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("ParseByteSize(%q) succeeded, want error", c.in)
+		}
+	}
+}

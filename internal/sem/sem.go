@@ -121,13 +121,6 @@ type Graph[V graph.Vertex] struct {
 	// asynchronous span reads (see prefetch.go). Nil means NeighborsBatch is
 	// a no-op and every Neighbors call reads synchronously.
 	prefetch *Prefetcher
-
-	// State-aware cache-policy glue (see state.go): set together by
-	// EnableStateCache when the store is a CachedStore. state receives the
-	// engine's settle notifications mapped to block ids; cache answers the
-	// pop-window affinity probes. Both nil under the legacy LRU policy.
-	state *StatePolicy
-	cache *CachedStore
 }
 
 // vertexWidth reports the on-disk vertex id width for V.
@@ -403,16 +396,6 @@ func writeIndexAndBlob(w io.Writer, offsets []uint64, degrees []uint32, blob []b
 		return fmt.Errorf("sem: write blocks: %w", err)
 	}
 	return nil
-}
-
-// WriteCSRCompressed compresses an in-memory CSR and serializes it into
-// format v2, the -compress path of gengraph and convert.
-func WriteCSRCompressed[V graph.Vertex](w io.Writer, g *graph.CSR[V]) error {
-	c, err := graph.Compress(g)
-	if err != nil {
-		return err
-	}
-	return WriteCompressed(w, c)
 }
 
 // Open reads the header and vertex index of a semi-external graph, leaving
@@ -856,33 +839,4 @@ func (g *Graph[V]) loadCompressed() (*graph.CSR[V], error) {
 		}
 	}
 	return graph.NewCSRRaw(edgeOffsets, targets, weights)
-}
-
-// LoadCompressedCSR reads an entire v2 graph back into an in-memory
-// CompressedCSR: the index, degrees, and blob move to RAM but the edges stay
-// delta+varint encoded — the IM footprint win of the compressed format
-// without a decode pass. Fails on v1 stores (use LoadCSR).
-func LoadCompressedCSR[V graph.Vertex](store Store) (*graph.CompressedCSR[V], error) {
-	g, err := Open[V](store)
-	if err != nil {
-		return nil, err
-	}
-	if !g.compressed {
-		return nil, fmt.Errorf("sem: store holds a raw v1 graph, not compressed blocks")
-	}
-	blob := make([]byte, g.offsets[g.n])
-	for off := 0; off < len(blob); off += loadChunkBytes {
-		end := off + loadChunkBytes
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if _, err := g.store.ReadAt(blob[off:end], g.edgeBase+int64(off)); err != nil {
-			return nil, fmt.Errorf("sem: load blob at %d: %w", off, err)
-		}
-	}
-	offsets := make([]uint64, len(g.offsets))
-	copy(offsets, g.offsets)
-	degrees := make([]uint32, len(g.degrees))
-	copy(degrees, g.degrees)
-	return graph.NewCompressedCSRRaw[V](offsets, degrees, blob, g.weighted)
 }

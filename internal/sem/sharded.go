@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/graph"
 )
@@ -112,19 +111,6 @@ func (c ShardConfig) Validate() error {
 // traverse/serve discover.
 func ShardFileName(base string, shard int) string {
 	return fmt.Sprintf("%s.shard%d", base, shard)
-}
-
-// WriteCSRShard extracts cfg's shard of g and serializes it as a format v1
-// file with a shard map. The logical graph's edge total goes in the shard
-// map; the header's m counts only this shard's records.
-func WriteCSRShard[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg ShardConfig) error {
-	return Write(w, g, WriteConfig{Shard: &cfg})
-}
-
-// WriteCSRShardCompressed extracts cfg's shard of g, compresses it, and
-// serializes it as a format v2 file with a shard map.
-func WriteCSRShardCompressed[V graph.Vertex](w io.Writer, g *graph.CSR[V], cfg ShardConfig) error {
-	return Write(w, g, WriteConfig{Compress: true, Shard: &cfg})
 }
 
 // validateShardSet checks that gs assembles into one coherent partition:

@@ -202,27 +202,17 @@ func (s *Server) buildVars() *expvar.Map {
 			}
 			if len(g.BlockCaches) > 0 {
 				var hits, misses uint64
-				var pinnedHW int64
-				policy := ""
 				perShard := make([]map[string]any, 0, len(g.BlockCaches))
 				for _, c := range g.BlockCaches {
 					if c == nil {
 						continue
 					}
-					policy = c.PolicyName()
 					h, mi := c.Stats()
 					hits += h
 					misses += mi
-					if hw := c.PinnedHW(); hw > pinnedHW {
-						pinnedHW = hw
-					}
 					perShard = append(perShard, map[string]any{"hits": h, "misses": mi})
 				}
-				bc := map[string]any{"hits": hits, "misses": misses, "policy": policy}
-				if policy == sem.PolicyState {
-					bc["pinned_hw"] = pinnedHW
-				}
-				gv["block_cache"] = bc
+				gv["block_cache"] = map[string]any{"hits": hits, "misses": misses}
 				if len(perShard) > 1 {
 					gv["shard_block_caches"] = perShard
 				}

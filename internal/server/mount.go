@@ -126,9 +126,6 @@ type MountOptions struct {
 	Prefetch int
 	// PrefetchGap is the max byte gap coalesced into one prefetch read.
 	PrefetchGap int
-	// CachePolicy selects the block-cache eviction policy of SEM mounts
-	// (zero value = legacy LRU; see sem.CachePolicyConfig).
-	CachePolicy sem.CachePolicyConfig
 	// Direction is the engine's BFS direction policy; non-top-down
 	// in-memory mounts pair the CSR with its transpose (semi-external
 	// mounts must carry an in-edge section; AddGraph enforces that).
@@ -197,9 +194,6 @@ func MountGraph(spec MountSpec, opt MountOptions) (Graph, error) {
 		}
 		if sgs[i], err = sem.Open[uint32](caches[i]); err != nil {
 			return g, err
-		}
-		if opt.CachePolicy.StateAware() {
-			sgs[i].EnableStateCache()
 		}
 		if opt.Prefetch > 1 {
 			sgs[i].EnablePrefetch(sem.PrefetchConfig{MaxGap: opt.PrefetchGap})

@@ -50,7 +50,7 @@ func buildStores(tb testing.TB, scale int) *testStores {
 		ssd.Profile{Name: "test-fast", Channels: 64, ReadLatency: 20 * time.Microsecond},
 		&ssd.MemBacking{Data: buf.Bytes()},
 	)
-	cache, err := sem.NewCachedStore(dev, 4096, 1<<20)
+	cache, err := sem.NewCachedStoreRA(dev, 4096, 1<<20, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -506,14 +506,14 @@ func buildShardedGraph(tb testing.TB, name string, g *graph.CSR[uint32], shards 
 	sgs := make([]*sem.Graph[uint32], shards)
 	for k := 0; k < shards; k++ {
 		var buf bytes.Buffer
-		if err := sem.WriteCSRShard(&buf, g, sem.ShardConfig{Shard: k, Shards: shards}); err != nil {
+		if err := sem.Write(&buf, g, sem.WriteConfig{Shard: &sem.ShardConfig{Shard: k, Shards: shards}}); err != nil {
 			tb.Fatal(err)
 		}
 		devs[k] = ssd.New(
 			ssd.Profile{Name: "test-fast", Channels: 64, ReadLatency: 20 * time.Microsecond},
 			&ssd.MemBacking{Data: buf.Bytes()},
 		)
-		cache, err := sem.NewCachedStore(devs[k], 4096, 1<<20)
+		cache, err := sem.NewCachedStoreRA(devs[k], 4096, 1<<20, 1)
 		if err != nil {
 			tb.Fatal(err)
 		}

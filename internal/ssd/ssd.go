@@ -103,6 +103,12 @@ type Stats struct {
 	// dedup shows up here: workers that share one in-flight span instead of
 	// issuing duplicate reads lower the peak at equal traversal concurrency.
 	PeakReads uint64
+	// ReadService / WriteService sum the service time the device model
+	// charged (latency plus bandwidth term per operation), excluding queue
+	// wait. Unlike wall-clock timings of the simulated sleeps they are
+	// deterministic, so comparisons built on them hold on a loaded host.
+	ReadService  time.Duration
+	WriteService time.Duration
 }
 
 // Add accumulates other into s: counters sum, MaxReadBytes takes the larger.
@@ -118,6 +124,8 @@ func (s *Stats) Add(other Stats) {
 	if other.PeakReads > s.PeakReads {
 		s.PeakReads = other.PeakReads
 	}
+	s.ReadService += other.ReadService
+	s.WriteService += other.WriteService
 }
 
 // Sum rolls member snapshots up into one aggregate.
@@ -154,6 +162,8 @@ type Device struct {
 	maxReadBytes atomic.Uint64
 	inflight     atomic.Int64
 	peakReads    atomic.Uint64
+	readService  atomic.Int64 // charged nanoseconds
+	writeService atomic.Int64
 }
 
 // Backing is the byte store behind a Device: a RAM buffer in tests and
@@ -221,6 +231,8 @@ func (d *Device) Stats() Stats {
 		BytesWritten: d.bytesWritten.Load(),
 		MaxReadBytes: d.maxReadBytes.Load(),
 		PeakReads:    d.peakReads.Load(),
+		ReadService:  time.Duration(d.readService.Load()),
+		WriteService: time.Duration(d.writeService.Load()),
 	}
 }
 
@@ -251,8 +263,10 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 			break
 		}
 	}
-	d.occupy(d.serviceTime(d.profile.ReadLatency, len(p)))
+	svc := d.serviceTime(d.profile.ReadLatency, len(p))
+	d.occupy(svc)
 	d.inflight.Add(-1)
+	d.readService.Add(int64(svc))
 	d.reads.Add(1)
 	d.bytesRead.Add(uint64(len(p)))
 	for n := uint64(len(p)); ; {
@@ -267,7 +281,9 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 // WriteAt writes len(p) bytes at off, charging one (more expensive) write
 // operation. Implements io.WriterAt.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
-	d.occupy(d.serviceTime(d.profile.WriteLatency, len(p)))
+	svc := d.serviceTime(d.profile.WriteLatency, len(p))
+	d.occupy(svc)
+	d.writeService.Add(int64(svc))
 	d.writes.Add(1)
 	d.bytesWritten.Add(uint64(len(p)))
 	return d.backing.WriteAt(p, off)

@@ -81,6 +81,35 @@ func TestDeviceChargesLatency(t *testing.T) {
 	}
 }
 
+// TestDeviceServiceTimeCounters checks the model-time counters: each
+// operation adds exactly its charged latency plus bandwidth term, reads and
+// writes separately, and RAID/shard roll-ups sum them.
+func TestDeviceServiceTimeCounters(t *testing.T) {
+	p := fastProfile(4)
+	p.BytesPerSec = 1 << 20 // 1 KiB costs 1/1024 s
+	d := New(p, &MemBacking{})
+	buf := make([]byte, 1024)
+	for i := 0; i < 3; i++ {
+		if _, err := d.WriteAt(buf, int64(i)*1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	xfer := time.Second / 1024
+	st := d.Stats()
+	if want := 3 * (p.WriteLatency + xfer); st.WriteService != want {
+		t.Fatalf("WriteService = %v, want %v", st.WriteService, want)
+	}
+	if want := p.ReadLatency + xfer; st.ReadService != want {
+		t.Fatalf("ReadService = %v, want %v", st.ReadService, want)
+	}
+	if sum := Sum(st, st); sum.ReadService != 2*st.ReadService || sum.WriteService != 2*st.WriteService {
+		t.Fatalf("Sum did not add service times: %+v", sum)
+	}
+}
+
 func TestDeviceBoundsConcurrency(t *testing.T) {
 	// With 2 channels and 20ms service, 8 concurrent 1-op readers need
 	// ceil(8/2)*20ms = 80ms; unlimited concurrency would need ~20ms.
